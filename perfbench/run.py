@@ -3,14 +3,14 @@
 
     python3 perfbench/run.py --workload W --seed N --seconds S --trace 0|1
     python3 perfbench/run.py --self-test
-    python3 perfbench/run.py --study W [--runs N] [--first-seed K]
-                             [--seconds S] [--trace 0|1] [--values]
+    python3 perfbench/run.py --study W [--runs N] [--seconds S]
+                             [--trace 0|1]
 
 The first form builds the benchmark from the checkout's sources into
 .bench_build/perfbench (a no-op when up to date) and runs one workload; the
 last line of its output is the result as one JSON object. --self-test runs
 the output checks against corrupted results. --study runs one workload N
-times on consecutive seeds and prints, per metric, the median, quartiles,
+times on seeds 1..N and prints, per metric, the median, quartiles,
 the spread between the quartiles and the largest spread, each as a share
 of the median, next to the bound BENCHMARK.json gives it.
 """
@@ -69,7 +69,7 @@ def study(args):
             for m in json.load(f).get("end_to_end", []):
                 bounds[m["name"]] = m["bound"]
     values, shares, correct = {}, [], True
-    for seed in range(args.first_seed, args.first_seed + args.runs):
+    for seed in range(1, args.runs + 1):
         result = run_once(args.study, seed, args.seconds, args.trace)
         correct = correct and result["correct"]
         shares.append("%d/%d" % (result["failed"], result["attempted"]))
@@ -91,8 +91,6 @@ def study(args):
         print("%-30s %-10s %14.6g %14.6g %14.6g %8.4f %8.4f %6s" %
               (name, unit, med, q1, q3, iqr, rng,
                "-" if bound is None else "%.2f" % bound))
-        if args.values:
-            print("    " + " ".join("%.4g" % x for x in v))
     print("correct: %s; failed/attempted per run: %s" %
           (correct, ", ".join(shares)))
 
@@ -106,9 +104,6 @@ def main():
     p.add_argument("--self-test", action="store_true")
     p.add_argument("--study")
     p.add_argument("--runs", type=int, default=5)
-    p.add_argument("--first-seed", type=int, default=1)
-    p.add_argument("--values", action="store_true",
-                   help="with --study, also print every run's value")
     args = p.parse_args()
     build()
     if args.self_test:

@@ -128,6 +128,16 @@ checkNotShed(bool shed)
     return shed ? "request was shed" : "";
 }
 
+std::string
+checkBeatsHerald(double quality_x_herald)
+{
+    if (!(quality_x_herald > 1.0))
+        return "MAGMA's quality_x_herald " + num(quality_x_herald) +
+               " is not above 1 (the paper's Table IV has MAGMA ahead of "
+               "Herald-like)";
+    return "";
+}
+
 std::vector<std::string>
 checkResult(const Reference& ref, const sched::Mapping& m,
             double reported_fitness)
@@ -198,6 +208,8 @@ selfTest()
     expect("shed response", checkNotShed(false), checkNotShed(true));
     expect("wrong active-job count", checkCount("active jobs", 40, 40),
            checkCount("active jobs", 41, 40));
+    expect("MAGMA behind Herald-like", checkBeatsHerald(1.05),
+           checkBeatsHerald(1.0));
     for (const std::string& e : checkResult(ref, good, fit))
         if (!e.empty())
             out.push_back("good result rejected: " + e);

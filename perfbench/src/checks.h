@@ -90,6 +90,10 @@ std::string checkCount(const char* what, int64_t reported,
 /** Shed responses and thrown searches are failures. */
 std::string checkNotShed(bool shed);
 
+/** The paper's Table IV ordering: MAGMA's geometric-mean throughput over
+ * Herald-like's on the same problems is above 1. */
+std::string checkBeatsHerald(double quality_x_herald);
+
 /** All four mapping checks on one result (valid, fitness, throughput,
  * makespan bound) against the reference's own re-simulation. */
 std::vector<std::string> checkResult(const Reference& ref,
@@ -100,7 +104,7 @@ std::vector<std::string> checkResult(const Reference& ref,
  * Feeds every check a good and a corrupted result — a job dropped from a
  * mapping, a fitness one ulp off, a throughput that does not match the
  * makespan, a makespan below the bound, a search over budget, a shed
- * response, a wrong active-job count — and requires the good one to
+ * response, a wrong active-job count, MAGMA behind Herald-like — and requires the good one to
  * pass and the corrupted one to be rejected. Returns what did not hold.
  */
 std::vector<std::string> selfTest();

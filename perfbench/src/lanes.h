@@ -29,6 +29,10 @@ class Lane {
     /** Run round `r`: set-up, operations, output checks. */
     virtual void round(int r) = 0;
 
+    /** Rounds a run must complete when this is the workload's own lane,
+     * however long they take. */
+    virtual int minRounds() const { return 1; }
+
     /** Time the layers on the inputs and outputs of the last round
      * (traced run only); every timing is a span. */
     virtual void probe() = 0;

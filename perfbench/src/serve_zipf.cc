@@ -104,6 +104,9 @@ class ServeZipf : public Lane {
         Spans::Scope round_span(ctx_.spans, "serve.round", r);
         std::vector<Sent> sent;
         std::unique_ptr<serve::MappingService> svc;
+        // Every round's requests start from an empty cost cache, whatever
+        // the other lanes left in it.
+        exec::CostCache::global().clear();
         exec::CostCacheStats cache0 = exec::CostCache::global().stats();
 
         // Set-up: from the inputs to a service ready to search, taken
